@@ -102,7 +102,8 @@ def _routing_rows():
             [_instance() for _ in range(4)], ["fp16"] * 4,
             RoutingPolicy.LOAD_BALANCE,
         )
-        res = router.serve(routed, online=(mode == "online"))
+        serve = router.serve_online if mode == "online" else router.serve
+        res = serve(routed)
         s = res.latency_summary()
         rows.append(
             [mode, f"{s.mean:.2f}", f"{s.p99:.2f}", f"{s.queue_delay * 1e3:.1f}"]

@@ -60,16 +60,20 @@ def test_disaggregated_fleet(benchmark, record_result, record_bench_json):
 def test_monolithic_mode_matches_plain_cluster():
     """Pools disabled => traces bit-for-bit those of a plain Cluster."""
     from repro.experiments import serving_disagg
-    from repro.serving import Cluster, DisaggFleet, Trace, least_loaded
+    from repro.serving import Cluster, Trace, least_loaded
+    from repro.serving.replay import build_instance
 
     specs = serving_disagg.build_workload(3.0, n=48)
 
     t_fleet = Trace()
-    fleet = DisaggFleet([], serving_disagg.build_instances(2))
+    fleet = serving_disagg.build_fleet("static-2")
     fleet.serve(serving_disagg.make_requests(specs), trace=t_fleet)
 
     t_plain = Trace()
-    cluster = Cluster(serving_disagg.build_instances(2))
+    cluster = Cluster([
+        build_instance(cfg)
+        for cfg in serving_disagg.scenario_config("static-2")["decode"]
+    ])
     cluster.run_online(
         serving_disagg.make_requests(specs),
         least_loaded,

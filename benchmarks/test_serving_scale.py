@@ -3,7 +3,8 @@
 Drives one saturated instance through the serving-core Poisson
 workload (3072 requests, ~80k trace events) twice — once on the
 columnar :class:`Trace` with the vectorized folds ("after"), once on
-:class:`ObjectTrace` with the legacy per-event folds ("before") — and
+the object-per-event reference trace with its per-event folds
+(``tests/oracles/``, the "before") — and
 records simulated requests/sec and trace events/sec for both in
 ``results/BENCH_serving.json``, together with the frozen pre-refactor
 seed baseline.
@@ -28,7 +29,6 @@ from repro.engines import LMDEPLOY, ServingCostModel
 from repro.hardware import A6000
 from repro.model.arch import LLAMA_7B
 from repro.serving import (
-    ObjectTrace,
     ServerInstance,
     ServingRequest,
     StepMetrics,
@@ -36,6 +36,7 @@ from repro.serving import (
     queue_delays,
     request_latencies,
 )
+from tests import oracles
 
 FP16 = NoCompression().cost_spec()
 
@@ -81,17 +82,16 @@ def _stream(n):
     ]
 
 
-def _measure(trace):
-    """Run the scenario on ``trace``; returns (metrics dict, folds)."""
+def _measure(trace, folds):
+    """Run the scenario on ``trace`` and fold it with ``folds``;
+    returns (metrics dict, fold results)."""
     reqs = _stream(N_REQUESTS)
     inst = _instance()
     t0 = time.perf_counter()
     res = inst.run(reqs, trace=trace)
     t_run = time.perf_counter() - t0
     t0 = time.perf_counter()
-    m = StepMetrics.from_trace(trace)
-    lats = request_latencies(trace)
-    delays = queue_delays(trace)
+    m, lats, delays = (fold(trace) for fold in folds)
     t_fold = time.perf_counter() - t0
     total = t_run + t_fold
     assert len(res.completed) == N_REQUESTS
@@ -110,8 +110,15 @@ def _measure(trace):
 
 def test_serving_scale(benchmark, record_bench_json):
     def run():
-        after, col_folds = _measure(Trace())
-        before, obj_folds = _measure(ObjectTrace())
+        after, col_folds = _measure(
+            Trace(),
+            (StepMetrics.from_trace, request_latencies, queue_delays),
+        )
+        before, obj_folds = _measure(
+            oracles.ObjectTrace(),
+            (oracles.step_metrics, oracles.request_latencies,
+             oracles.queue_delays),
+        )
         # same workload, same simulator: the folds must agree exactly
         assert col_folds == obj_folds
         return after, before

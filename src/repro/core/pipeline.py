@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.compression.base import Compressor, NoCompression
+from repro.compression.base import Compressor
 from repro.compression.registry import create
-from repro.engines.base import ServingCostModel, StageCost
-from repro.engines.presets import get_engine
-from repro.hardware.interconnect import NVLINK_A6000, InterconnectSpec
+from repro.engines.base import StageCost
+from repro.engines.deploy import cost_model
+from repro.hardware.interconnect import InterconnectSpec
 from repro.hardware.memory import MemoryBreakdown
-from repro.hardware.specs import GPUSpec, get_gpu
-from repro.model.arch import ArchSpec, get_arch
+from repro.hardware.specs import GPUSpec
+from repro.model.arch import ArchSpec
 from repro.model.config import (
     FunctionalModelConfig,
     llama_sim_config,
@@ -90,18 +90,13 @@ class CompressedGenerationPipeline:
         self.config = cfg
         self.model = FunctionalTransformer(cfg)
         self.algorithm = algorithm
-        self.compressor: Compressor = (
-            NoCompression() if algorithm == "fp16" else create(algorithm)
-        )
-        self.arch: ArchSpec = get_arch(arch)
-        self.gpu: GPUSpec = get_gpu(gpu)
-        self.cost_model = ServingCostModel(
-            self.arch,
-            self.gpu,
-            get_engine(engine),
-            tp=tp,
-            interconnect=interconnect or (NVLINK_A6000 if tp > 1 else None),
-        )
+        self.compressor: Compressor = create(algorithm)
+        self.cost_model = cost_model(arch, gpu, engine, tp)
+        if interconnect is not None:
+            # an explicit link overrides the deployment's default one
+            self.cost_model.interconnect = interconnect
+        self.arch: ArchSpec = self.cost_model.arch
+        self.gpu: GPUSpec = self.cost_model.gpu
 
     @property
     def tokenizer(self):

@@ -38,12 +38,14 @@ from repro.experiments.common import (
     cost_model,
 )
 from repro.serving import (
-    Autoscaler,
     DisaggFleet,
-    ServerInstance,
     ServingRequest,
     StepMetrics,
     Trace,
+    build_scenario,
+    dump_jsonl,
+    fleet_scenario,
+    workload_specs,
 )
 
 SEED = 17
@@ -137,37 +139,16 @@ def make_requests(
     ]
 
 
-def build_instances(n: int) -> List[ServerInstance]:
-    return [
-        ServerInstance(cost_model(), comp_spec(ALGO), max_batch=MAX_BATCH)
-        for _ in range(n)
-    ]
-
-
 def build_fleet(kind: str) -> DisaggFleet:
-    """``static-N`` (monolithic) or ``disagg`` (autoscaled pools)."""
-    if kind.startswith("static-"):
-        return DisaggFleet([], build_instances(int(kind.split("-")[1])))
-    if kind == "disagg":
-        return DisaggFleet(
-            build_instances(PREFILL_POOL),
-            build_instances(DECODE_POOL),
-            prefill_active=PREFILL_ACTIVE,
-            decode_active=DECODE_ACTIVE,
-            autoscaler=Autoscaler(**AUTOSCALER),
-        )
-    raise ValueError(f"unknown fleet kind {kind!r}")
+    """``static-N`` (monolithic) or ``disagg`` (autoscaled pools), built
+    from the one description of each fleet, :func:`scenario_config`."""
+    return build_scenario(scenario_config(kind))
 
 
 def scenario_config(kind: str) -> Dict[str, object]:
-    """Replay scenario config reproducing :func:`build_fleet` exactly.
-
-    ``repro.serving.replay.build_scenario`` on this dict constructs the
-    same fleet ``build_fleet(kind)`` does, so an exported trace of a
-    run here replays bit-for-bit (pinned by ``tests/test_replay.py``).
-    """
-    from repro.serving.replay import fleet_scenario
-
+    """The scenario config of fleet ``kind``: what :func:`build_fleet`
+    builds and what an exported trace's header carries, so a run here
+    replays bit-for-bit (pinned by ``tests/test_replay.py``)."""
     inst = dict(algo=ALGO, max_batch=MAX_BATCH)
     if kind.startswith("static-"):
         n = int(kind.split("-")[1])
@@ -197,9 +178,6 @@ def run_fleet(
     requests = make_requests(specs)
     result = fleet.serve(requests, trace=trace)
     if export_path is not None:
-        from repro.serving import dump_jsonl
-        from repro.serving.replay import workload_specs
-
         # shape fields are immutable during a run, so the post-run
         # requests still describe the pre-run workload exactly
         dump_jsonl(

@@ -151,7 +151,8 @@ def router_table(
                 throughput_fn=throughput_fn,
                 length_fn=length_fn,
             )
-            out[label][algo] = router.serve(routed, online=online).mean_e2e()
+            serve = router.serve_online if online else router.serve
+            out[label][algo] = serve(routed).mean_e2e()
     return out
 
 

@@ -2,8 +2,9 @@
 
 ``Cluster`` attaches N :class:`~repro.serving.simulator.ServerInstance`
 objects to a single :class:`~repro.serving.events.EventLoop`, so their
-timelines interleave exactly as they would on real hardware.  Two entry
-points:
+timelines interleave exactly as they would on real hardware.  It is
+the only shared-clock engine: the router and the disaggregated fleet
+are placement policies over it.  Entry points:
 
 - :meth:`run` — offline assignment: per-instance request streams are
   decided up front (the seed path; Table 8 parity).
@@ -11,6 +12,9 @@ points:
   its arrival instant by a caller-supplied ``pick`` function that sees
   **live** instance state (:class:`InstanceView`: queue depth, token
   occupancy, running batch) instead of a decayed offline load model.
+- :meth:`drive` — the loop both are built on: the caller schedules its
+  own workload (the disaggregated fleet's stage handoffs and autoscaler
+  ticks) and dispatches through :meth:`dispatch` / :meth:`route_to`.
 """
 
 from __future__ import annotations
@@ -94,48 +98,69 @@ class Cluster:
         """Live snapshots of every instance."""
         return [self.view(i) for i in range(len(self.instances))]
 
-    def route_to(self, index: int, req: ServingRequest) -> None:
-        """Dispatch ``req`` to instance ``index`` mid-run.
-
-        Used by re-routing paths that originate *inside* the simulation
-        (the router's verify-and-fallback re-decodes): the arrival is
-        registered and consumed in one step, exactly as the normal
-        ``expect``/``receive`` pair does for front-door arrivals.
-        """
+    def dispatch(self, index: int, req: ServingRequest) -> None:
+        """Hand ``req`` to instance ``index`` now.  Its arrival must
+        already be registered (:meth:`ServerInstance.expect`), as
+        :meth:`run_online` does for front-door arrivals and the
+        disaggregated fleet for KV handoffs in flight."""
         inst = self.instances[index]
-        inst.expect(req.arrival)
         if self._telemetry is not None:
             self._telemetry.on_route(inst.name)
         inst.receive(req)
 
+    def route_to(self, index: int, req: ServingRequest) -> None:
+        """Register ``req``'s arrival with instance ``index`` and
+        dispatch it: for arrivals decided inside the simulation (the
+        fleet's prefill stages, the router's fallback re-decodes)."""
+        self.instances[index].expect(req.arrival)
+        self.dispatch(index, req)
+
     # ------------------------------------------------------------------
+    def drive(
+        self,
+        setup: Callable[[EventLoop], None],
+        trace: Optional[Trace] = None,
+        telemetry=None,
+    ) -> List[SimulationResult]:
+        """Run one workload on the shared clock: attach every instance
+        to a fresh loop, let ``setup(loop)`` schedule the workload, run
+        the loop until it drains; returns per-instance results.
+
+        ``telemetry`` (opt-in) is shared by every instance and the loop,
+        so one registry aggregates the whole fleet, labeled per
+        instance; mid-run dispatches publish to it, for this run only.
+        """
+        telemetry = _active_telemetry(telemetry)
+        # this run's sink, whatever the previous run used: a mid-run
+        # route_to() (fallback re-decode) must publish here, not to a
+        # stale sink left over from an earlier run
+        self._telemetry = telemetry
+        loop = self._attach_all(trace, telemetry)
+        try:
+            setup(loop)
+            loop.run()
+        finally:
+            # the run is over: a later run (or a stray route_to outside
+            # any run) must not publish to this sink
+            self._telemetry = None
+        return [inst.result() for inst in self.instances]
+
     def run(
         self,
         streams: Sequence[Sequence[ServingRequest]],
         trace: Optional[Trace] = None,
         telemetry=None,
     ) -> List[SimulationResult]:
-        """Serve pre-assigned per-instance streams on the shared clock.
-
-        ``telemetry`` (opt-in) is shared by every instance and the
-        loop, so one registry aggregates the whole fleet, labeled per
-        instance."""
+        """Serve pre-assigned per-instance streams on the shared clock."""
         if len(streams) != len(self.instances):
             raise ValueError("one request stream per instance required")
-        telemetry = _active_telemetry(telemetry)
-        # this run's sink, whatever the previous run used: a mid-run
-        # route_to() (fallback re-decode) must publish here, not to a
-        # stale sink left over from an earlier run_online()
-        self._telemetry = telemetry
-        loop = self._attach_all(trace, telemetry)
-        for inst, stream in zip(self.instances, streams):
-            for req in sorted(stream, key=lambda r: r.arrival):
-                inst.submit(req)
-        try:
-            loop.run()
-        finally:
-            self._telemetry = None  # the run is over; drop the sink
-        return [inst.result() for inst in self.instances]
+
+        def submit_all(loop: EventLoop) -> None:
+            for inst, stream in zip(self.instances, streams):
+                for req in sorted(stream, key=lambda r: r.arrival):
+                    inst.submit(req)
+
+        return self.drive(submit_all, trace, telemetry)
 
     def run_online(
         self,
@@ -159,26 +184,17 @@ class Cluster:
         already know a request may arrive so it can break the block and
         consider admission — exactly as the ``submit()`` path does.
         """
-        telemetry = _active_telemetry(telemetry)
-        self._telemetry = telemetry
-        loop = self._attach_all(trace, telemetry)
         assignment: Dict[str, int] = {}
 
-        def dispatch(req) -> None:
+        def arrive(loop: EventLoop, req) -> None:
             idx = pick(req, self.views(), loop.now)
             assignment[req.request_id] = idx
-            if telemetry is not None:
-                telemetry.on_route(self.instances[idx].name)
-            self.instances[idx].receive(make(req, idx, loop.now))
+            self.dispatch(idx, make(req, idx, loop.now))
 
-        for req in sorted(requests, key=lambda r: r.arrival):
-            for inst in self.instances:
-                inst.expect(req.arrival)
-            loop.schedule(req.arrival, partial(dispatch, req))
-        try:
-            loop.run()
-        finally:
-            # clear once the loop drains: a later run (or a stray
-            # route_to outside any run) must not publish to this sink
-            self._telemetry = None
-        return [inst.result() for inst in self.instances], assignment
+        def schedule(loop: EventLoop) -> None:
+            for req in sorted(requests, key=lambda r: r.arrival):
+                for inst in self.instances:
+                    inst.expect(req.arrival)
+                loop.schedule(req.arrival, partial(arrive, loop, req))
+
+        return self.drive(schedule, trace, telemetry), assignment

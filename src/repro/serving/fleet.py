@@ -24,8 +24,16 @@ activates standby instances (``SCALE_UP``) or drains active ones
 (``SCALE_DOWN``) per pool.  Scale events are traced with the pool name
 and the new pool size, and counted in ``fleet_scale_events_total``.
 
-With the prefill pool empty the fleet degenerates to a monolithic
-cluster: :meth:`DisaggFleet.serve` delegates straight to
+The fleet is a placement policy over one
+:class:`~repro.serving.cluster.Cluster`, the only shared-clock engine:
+stage arrivals, handoffs and autoscaler ticks run on
+:meth:`~repro.serving.cluster.Cluster.drive`, routing reads
+:meth:`~repro.serving.cluster.Cluster.view`, and stages are dispatched
+with :meth:`~repro.serving.cluster.Cluster.route_to` (prefill stages)
+or :meth:`~repro.serving.cluster.Cluster.dispatch` (handoffs,
+registered when their prefill finishes).  With the
+prefill pool empty the fleet degenerates to a monolithic cluster:
+:meth:`DisaggFleet.serve` delegates straight to
 :meth:`~repro.serving.cluster.Cluster.run_online`, so traces are
 bit-for-bit what a plain :class:`~repro.serving.cluster.Cluster` with
 the same pick function produces.
@@ -33,7 +41,7 @@ the same pick function produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -186,6 +194,8 @@ class FleetResult:
     stage for handed-off requests (with ``first_token`` from the
     prefill pool), the request itself when it was served whole, or the
     original marked ``rejected`` when its prefill stage was dropped.
+    KV-transfer and scale totals are trace events: fold them with
+    ``StepMetrics.from_trace`` or read the telemetry registry.
     """
 
     logical: SimulationResult
@@ -195,11 +205,6 @@ class FleetResult:
     assignment: Dict[str, Tuple[Optional[int], Optional[int]]]
     trace: Optional[Trace] = None
     telemetry: Optional[Telemetry] = None
-    kv_transfers: int = 0
-    kv_transfer_bytes: int = 0
-    kv_transfer_seconds: float = 0.0
-    scale_ups: int = 0
-    scale_downs: int = 0
 
     @property
     def requests(self) -> List[ServingRequest]:
@@ -230,7 +235,7 @@ class FleetResult:
 
 
 class DisaggFleet:
-    """Prefill pool + decode pool on one shared discrete-event clock.
+    """Prefill pool + decode pool on one shared :class:`Cluster` clock.
 
     ``prefill_active`` / ``decode_active`` bound the initially active
     prefix of each pool; the remainder are standby instances an
@@ -238,6 +243,11 @@ class DisaggFleet:
     the fleet runs monolithic — every instance does both phases — by
     delegating to :meth:`Cluster.run_online`, which keeps traces
     bit-for-bit identical to an undisaggregated cluster.
+
+    ``pick`` sees the :meth:`Cluster.view` of each *active* instance of
+    the pool being routed (so ``InstanceView.index`` is the instance's
+    position in the whole cluster, prefill pool first) and returns a
+    position in that list.
     """
 
     def __init__(
@@ -264,17 +274,16 @@ class DisaggFleet:
         if not 1 <= n_dec <= len(self.decode):
             raise ValueError("decode_active out of range")
         self._pf0, self._dec0 = (n_pf if self.prefill else 0), n_dec
-        if self.prefill:
-            # pool-qualified names; monolithic mode keeps the Cluster
-            # default ("inst{i}") so traces match the plain cluster
-            for i, inst in enumerate(self.prefill):
-                inst.name = f"pf{i}"
-            for i, inst in enumerate(self.decode):
-                inst.name = f"dec{i}"
+        # pool-qualified names, prefill pool first; monolithic mode keeps
+        # the Cluster default ("inst{i}") so traces match a plain cluster
+        names = [f"pf{i}" for i in range(len(self.prefill))] + [
+            f"dec{i}" for i in range(len(self.decode))
+        ]
+        self.cluster = Cluster(
+            self.prefill + self.decode, names if self.prefill else None
+        )
         self._pf_active: List[int] = []
         self._dec_active: List[int] = []
-        self.scale_ups = 0
-        self.scale_downs = 0
 
     @property
     def disaggregated(self) -> bool:
@@ -293,7 +302,7 @@ class DisaggFleet:
         return [insts[i].name for i in active]
 
     def instance_names(self) -> List[str]:
-        return [inst.name for inst in self.prefill + self.decode]
+        return list(self.cluster.names)
 
     def scale_up(self, pool: str, now: float) -> bool:
         """Activate one standby instance of ``pool``; False if none left."""
@@ -303,7 +312,6 @@ class DisaggFleet:
             return False
         idx = standby[0]
         active.append(idx)
-        self.scale_ups += 1
         insts[idx].record_event(
             now, EventType.SCALE_UP, "", pool=pool, size=len(active)
         )
@@ -329,7 +337,6 @@ class DisaggFleet:
             ),
         )
         active.remove(idx)
-        self.scale_downs += 1
         insts[idx].record_event(
             now, EventType.SCALE_DOWN, "", pool=pool, size=len(active)
         )
@@ -350,74 +357,49 @@ class DisaggFleet:
             # even when the caller didn't ask for instrumentation
             telemetry = Telemetry()
         if not self.disaggregated:
-            return self._serve_monolithic(requests, trace, telemetry)
-        return self._serve_disagg(requests, trace, telemetry)
+            results, assignment = self.cluster.run_online(
+                requests,
+                self.pick,
+                lambda r, idx, now: r,
+                trace=trace,
+                telemetry=telemetry,
+            )
+            logical = sorted(
+                (r for res in results for r in res.requests),
+                key=lambda r: r.arrival,
+            )
+            return FleetResult(
+                logical=SimulationResult(requests=logical, trace=trace),
+                prefill_results=[],
+                decode_results=results,
+                assignment={
+                    rid: (None, idx) for rid, idx in assignment.items()
+                },
+                trace=trace,
+                telemetry=telemetry,
+            )
 
-    def _serve_monolithic(
-        self,
-        requests: List[ServingRequest],
-        trace: Optional[Trace],
-        telemetry: Optional[Telemetry],
-    ) -> FleetResult:
-        cluster = Cluster(self.decode)
-        results, assignment = cluster.run_online(
-            requests,
-            self.pick,
-            lambda r, idx, now: r,
-            trace=trace,
-            telemetry=telemetry,
-        )
-        logical = sorted(
-            (r for res in results for r in res.requests),
-            key=lambda r: r.arrival,
-        )
-        return FleetResult(
-            logical=SimulationResult(requests=logical, trace=trace),
-            prefill_results=[],
-            decode_results=results,
-            assignment={rid: (None, idx) for rid, idx in assignment.items()},
-            trace=trace,
-            telemetry=telemetry,
-        )
-
-    def _serve_disagg(
-        self,
-        requests: List[ServingRequest],
-        trace: Optional[Trace],
-        telemetry: Optional[Telemetry],
-    ) -> FleetResult:
-        loop = EventLoop(telemetry=telemetry)
-        self._loop = loop
-        self._trace = trace
-        self._telemetry = telemetry
-        for inst in self.prefill + self.decode:
-            inst.attach(loop, trace, telemetry)
         self._pf_active = list(range(self._pf0))
         self._dec_active = list(range(self._dec0))
-        if telemetry is not None:
-            telemetry.pool_size.set(float(len(self._pf_active)), pool="prefill")
-            telemetry.pool_size.set(float(len(self._dec_active)), pool="decode")
-        self.scale_ups = 0
-        self.scale_downs = 0
-        self._xfers = 0
-        self._xfer_bytes = 0
-        self._xfer_seconds = 0.0
         self._pending: Dict[str, ServingRequest] = {}  # awaiting handoff
         self._live: Dict[str, ServingRequest] = {}  # current-stage object
         self._transit: Set[str] = set()  # between prefill finish and delivery
         self._assignment: Dict[str, List[Optional[int]]] = {}
 
-        for inst in self.prefill:
-            inst.on_finish = partial(self._prefill_done, inst)
-        try:
+        def setup(loop: EventLoop) -> None:
+            self._loop = loop
+            if telemetry is not None:
+                telemetry.pool_size.set(
+                    float(len(self._pf_active)), pool="prefill"
+                )
+                telemetry.pool_size.set(
+                    float(len(self._dec_active)), pool="decode"
+                )
             for req in requests:
                 if req.response_len <= 1:
                     # nothing to decode beyond the prefill's own token:
                     # serve it whole on the prefill pool, no handoff
-                    self._live[req.request_id] = req
-                    loop.schedule(
-                        req.arrival, partial(self._dispatch_prefill, req, req)
-                    )
+                    stage = req
                 else:
                     stage = ServingRequest(
                         request_id=req.request_id + PREFILL_SUFFIX,
@@ -429,17 +411,20 @@ class DisaggFleet:
                         token_ids=req.token_ids,
                     )
                     self._pending[req.request_id] = req
-                    self._live[req.request_id] = stage
-                    loop.schedule(
-                        req.arrival,
-                        partial(self._dispatch_prefill, req, stage),
-                    )
+                self._live[req.request_id] = stage
+                loop.schedule(
+                    req.arrival, partial(self._dispatch_prefill, req, stage)
+                )
             if self.autoscaler is not None and requests:
                 self.autoscaler.bind(self, telemetry)
                 loop.schedule(
                     requests[0].arrival + self.autoscaler.tick, self._tick
                 )
-            loop.run()
+
+        for inst in self.prefill:
+            inst.on_finish = partial(self._prefill_done, inst)
+        try:
+            results = self.cluster.drive(setup, trace, telemetry)
         finally:
             for inst in self.prefill:
                 inst.on_finish = None
@@ -455,50 +440,33 @@ class DisaggFleet:
             else:
                 logical.append(req)
         logical.sort(key=lambda r: r.arrival)
+        n_pf = len(self.prefill)
         return FleetResult(
             logical=SimulationResult(requests=logical, trace=trace),
-            prefill_results=[inst.result() for inst in self.prefill],
-            decode_results=[inst.result() for inst in self.decode],
+            prefill_results=results[:n_pf],
+            decode_results=results[n_pf:],
             assignment={
                 rid: tuple(pair) for rid, pair in self._assignment.items()
             },
             trace=trace,
             telemetry=telemetry,
-            kv_transfers=self._xfers,
-            kv_transfer_bytes=self._xfer_bytes,
-            kv_transfer_seconds=self._xfer_seconds,
-            scale_ups=self.scale_ups,
-            scale_downs=self.scale_downs,
         )
 
     # -- stage plumbing ------------------------------------------------
-    def _pick_active(
-        self, pool: List[ServerInstance], active: List[int], req
-    ) -> int:
-        views = [
-            InstanceView(
-                index=i,
-                name=pool[i].name,
-                queue_depth=pool[i].queue_depth,
-                running=pool[i].running_count,
-                used_tokens=pool[i].used_tokens,
-                waiting_tokens=pool[i].waiting_tokens,
-                token_budget=pool[i].token_budget,
-            )
-            for i in active
-        ]
-        return active[self.pick(req, views, self._loop.now)]
+    def _pick(self, pool: str, req) -> int:
+        """Cluster index of the active ``pool`` instance ``pick``
+        chooses for ``req`` from live views."""
+        offset = 0 if pool == "prefill" else len(self.prefill)
+        active = self._pool(pool)[1]
+        views = [self.cluster.view(offset + i) for i in active]
+        return offset + active[self.pick(req, views, self._loop.now)]
 
     def _dispatch_prefill(
         self, orig: ServingRequest, stage: ServingRequest
     ) -> None:
-        idx = self._pick_active(self.prefill, self._pf_active, orig)
+        idx = self._pick("prefill", orig)  # the prefill pool comes first
         self._assignment.setdefault(orig.request_id, [None, None])[0] = idx
-        inst = self.prefill[idx]
-        inst.expect(stage.arrival)
-        if self._telemetry is not None:
-            self._telemetry.on_route(inst.name)
-        inst.receive(stage)
+        self.cluster.route_to(idx, stage)
 
     def _kv_bytes(
         self, inst: ServerInstance, orig: ServingRequest
@@ -550,9 +518,8 @@ class DisaggFleet:
         now = self._loop.now
         lrid = orig.request_id
         self._transit.discard(lrid)
-        idx = self._pick_active(self.decode, self._dec_active, orig)
-        self._assignment[lrid][1] = idx
-        inst = self.decode[idx]
+        idx = self._pick("decode", orig)
+        self._assignment[lrid][1] = idx - len(self.prefill)
         dreq = ServingRequest(
             request_id=lrid,
             arrival=orig.arrival,
@@ -566,10 +533,7 @@ class DisaggFleet:
         )
         dreq.first_token = stage.first_token  # emitted by the prefill pool
         dreq.queued_at = now
-        self._xfers += 1
-        self._xfer_bytes += nbytes
-        self._xfer_seconds += seconds
-        inst.record_event(
+        self.cluster.instances[idx].record_event(
             now,
             EventType.KV_TRANSFER,
             lrid,
@@ -579,9 +543,8 @@ class DisaggFleet:
             link=self.interconnect.name,
         )
         self._live[lrid] = dreq
-        if self._telemetry is not None:
-            self._telemetry.on_route(inst.name)
-        inst.receive(dreq)
+        # the delivery instant was registered when the prefill finished
+        self.cluster.dispatch(idx, dreq)
 
     # -- autoscaler plumbing -------------------------------------------
     def _outstanding(self) -> int:

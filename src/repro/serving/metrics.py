@@ -1,14 +1,12 @@
 """Latency aggregation helpers (TTFT, TBOT, queue delay, E2E, CDFs)
 plus step-level aggregates over a serving :class:`~repro.serving.trace.Trace`.
 
-Both folds are **columnar**: :meth:`StepMetrics.from_trace` on a
-columnar :class:`Trace` never materializes an event — every statistic
-is a masked NumPy reduction over the kind/time/payload columns — and
+Both folds are **columnar**: :meth:`StepMetrics.from_trace` never
+materializes an event — every statistic is a masked NumPy reduction
+over the trace's kind/time/payload columns — and
 :meth:`LatencySummary.from_requests` gathers request attributes into
-arrays once and reduces.  Handed an
-:class:`~repro.serving.trace.ObjectTrace` (or any duck-typed trace),
-``from_trace`` falls back to the original per-event scan; the
-equivalence suite pins both paths to bit-identical results.
+arrays once and reduces.  The equivalence suite pins ``from_trace``
+bit-for-bit to the per-event reference fold kept in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.trace import EventType, Trace
+from repro.serving.trace import EventType, Trace, queue_delays
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ class StepMetrics:
     prefix_hit_rate: float
 
     @staticmethod
-    def from_trace(trace) -> "StepMetrics":
+    def from_trace(trace: Trace) -> "StepMetrics":
         """Fold a trace into scheduler-level summaries.
 
         ``max_decode_gap`` is the largest interval between consecutive
@@ -263,25 +261,15 @@ class StepMetrics:
         or a REJECT.  On a complete trace it is zero and every number
         matches the strict fold exactly.
 
-        Columnar traces fold as masked reductions over the columns
-        (:meth:`_from_columns`); anything else takes the per-event scan
-        (:meth:`_from_events`).  Both return bit-identical results.
-        """
-        if isinstance(trace, Trace):
-            return StepMetrics._from_columns(trace)
-        return StepMetrics._from_events(trace)
-
-    @staticmethod
-    def _from_columns(trace: Trace) -> "StepMetrics":
-        """Vectorized fold over a columnar trace.
-
-        Exactness notes (these keep the fold bit-for-bit equal to
-        :meth:`_from_events`): integer payloads are exact in float64,
-        so int/int Python divisions equal the float64 divisions here;
-        array orders feeding ``np.mean``/``np.percentile`` match the
-        event orders of the scan; and ``prefix_saved_seconds`` keeps
-        the scan's *sequential* left-to-right float summation, which
-        NumPy's pairwise ``sum`` would not reproduce.
+        The fold is a set of masked reductions over the trace's
+        columns; no event is materialized.  It is bit-for-bit equal to
+        a per-event scan (the reference fold in ``tests/oracles/``):
+        integer payloads are exact in float64, so int/int Python
+        divisions equal the float64 divisions here; array orders
+        feeding ``np.mean``/``np.percentile`` match the event orders of
+        the scan; and the summed float payloads keep the scan's
+        *sequential* left-to-right summation, which NumPy's pairwise
+        ``sum`` would not reproduce.
         """
         n = len(trace)
         time = trace._time[:n]
@@ -352,18 +340,11 @@ class StepMetrics:
         # last admission per request, measured from its (re)queue epoch;
         # requests that were admitted but later dropped mid-decode are
         # excluded (they were never served)
-        qa, qa_p = trace.payload("queued_at")
-        ar, ar_p = trace.payload("arrival")
-        last_admit: Dict[int, float] = {}
-        for i in admit_rows.tolist():
-            if qa_p is not None and qa_p[i]:
-                since = qa[i]
-            elif ar_p is not None and ar_p[i]:
-                since = ar[i]
-            else:
-                continue
-            last_admit[int(req[i])] = float(time[i] - since)
-        delays = [d for rid, d in last_admit.items() if rid not in dropped]
+        dropped_ids = {trace._req_names[i] for i in dropped}
+        delays = [
+            d for rid, d in queue_delays(trace).items()
+            if rid not in dropped_ids
+        ]
 
         def miss_truthy(key: str) -> np.ndarray:
             v, p = trace.payload(key)
@@ -386,35 +367,20 @@ class StepMetrics:
             if rid not in complete and rid not in dropped
         )
 
+        def seq_sum(rows: np.ndarray, key: str) -> float:
+            # left to right over the rows carrying ``key``, as the event
+            # scan sums (NumPy's pairwise sum rounds differently)
+            v, p = trace.payload(key)
+            out = 0.0
+            if p is not None:
+                for i in rows.tolist():
+                    if p[i]:
+                        out += float(v[i])
+            return out
+
         hit_rows = trace.rows_of(EventType.PREFIX_HIT)
-        cached_total = 0
-        saved = 0.0
-        if len(hit_rows):
-            cv, cp = trace.payload("cached")
-            if cp is not None:
-                cached_total = int(cv[hit_rows][cp[hit_rows]].sum())
-            sv, sp = trace.payload("saved_seconds")
-            if sp is not None:
-                # sequential sum, matching the event scan bit-for-bit
-                for i in hit_rows.tolist():
-                    if sp[i]:
-                        saved += float(sv[i])
-        n_admits = len(admit_rows)
-
         xfer_rows = trace.rows_of(EventType.KV_TRANSFER)
-        xfer_bytes = 0
-        xfer_seconds = 0.0
-        if len(xfer_rows):
-            bv, bp = trace.payload("bytes")
-            if bp is not None:
-                xfer_bytes = int(bv[xfer_rows][bp[xfer_rows]].sum())
-            sv, sp = trace.payload("seconds")
-            if sp is not None:
-                # sequential sum, matching the event scan bit-for-bit
-                for i in xfer_rows.tolist():
-                    if sp[i]:
-                        xfer_seconds += float(sv[i])
-
+        n_admits = len(admit_rows)
         return StepMetrics(
             decode_steps=len(step_rows),
             admits=n_admits,
@@ -423,12 +389,12 @@ class StepMetrics:
             finishes=n_finishes_all,
             prefill_chunks=len(trace.rows_of(EventType.PREFILL_CHUNK)),
             partial_requests=partial,
-            dropped_events=int(getattr(trace, "dropped_events", 0) or 0),
+            dropped_events=trace.dropped_events,
             reroutes=len(trace.rows_of(EventType.REROUTE)),
             fallbacks=len(trace.rows_of(EventType.FALLBACK)),
             kv_transfers=len(xfer_rows),
-            kv_transfer_bytes=xfer_bytes,
-            kv_transfer_seconds=xfer_seconds,
+            kv_transfer_bytes=int(seq_sum(xfer_rows, "bytes")),
+            kv_transfer_seconds=seq_sum(xfer_rows, "seconds"),
             scale_ups=len(trace.rows_of(EventType.SCALE_UP)),
             scale_downs=len(trace.rows_of(EventType.SCALE_DOWN)),
             decode_seconds=wall,
@@ -454,129 +420,9 @@ class StepMetrics:
             ),
             goodput=attained / span if span > 0 else 0.0,
             prefix_hits=len(hit_rows),
-            prefix_cached_tokens=cached_total,
-            prefix_saved_seconds=float(saved),
+            prefix_cached_tokens=int(seq_sum(hit_rows, "cached")),
+            prefix_saved_seconds=seq_sum(hit_rows, "saved_seconds"),
             prefix_hit_rate=len(hit_rows) / n_admits if n_admits else 0.0,
-        )
-
-    @staticmethod
-    def _from_events(trace) -> "StepMetrics":
-        """Per-event reference fold (ObjectTrace / duck-typed traces)."""
-        steps = [
-            e
-            for e in trace.of_kind(EventType.DECODE_STEP)
-            if {"seconds", "batch", "used_tokens", "token_budget"}
-            <= e.data.keys()
-        ]
-        secs = np.array([e.data["seconds"] for e in steps], dtype=float)
-        batches = np.array([e.data["batch"] for e in steps], dtype=float)
-        utils = np.array(
-            [
-                e.data["used_tokens"] / max(1, e.data["token_budget"])
-                for e in steps
-            ],
-            dtype=float,
-        )
-        wall = float(secs.sum())
-        w = secs / wall if wall > 0 else None
-        times = np.array([e.time for e in steps], dtype=float)
-        all_finishes = trace.of_kind(EventType.FINISH)
-        finishes = [
-            e
-            for e in all_finishes
-            if {"arrival", "first_token", "generated"} <= e.data.keys()
-        ]
-        # token streams in flight: a gap only stalls a client whose
-        # stream covers it entirely
-        spans = [(e.data["first_token"], e.time) for e in finishes]
-        gap = 0.0
-        for t1, t2 in zip(times[:-1], times[1:]):
-            if any(start <= t1 and end >= t2 for start, end in spans):
-                gap = max(gap, float(t2 - t1))
-        tbots = [
-            (e.time - e.data["first_token"]) / (e.data["generated"] - 1)
-            for e in finishes
-            if e.data["generated"] > 1
-        ]
-        admits = trace.of_kind(EventType.ADMIT)
-        # last admission per request, measured from its (re)queue epoch;
-        # requests that were admitted but later dropped mid-decode are
-        # excluded (they were never served)
-        dropped = {e.request_id for e in trace.of_kind(EventType.REJECT)}
-        last_admit: Dict[str, float] = {}
-        for e in admits:
-            since = e.data.get("queued_at", e.data.get("arrival"))
-            if since is not None:
-                last_admit[e.request_id] = e.time - since
-        delays = [d for rid, d in last_admit.items() if rid not in dropped]
-        with_ttft = [e for e in finishes if "ttft_deadline" in e.data]
-        with_tbot = [e for e in finishes if "tbot_target" in e.data]
-        attained = sum(
-            e.data["generated"]
-            for e in finishes
-            if not e.data.get("ttft_miss") and not e.data.get("tbot_miss")
-        )
-        span = (
-            max(e.time for e in finishes)
-            - min(e.data["arrival"] for e in finishes)
-            if finishes else 0.0
-        )
-        complete = {e.request_id for e in finishes}
-        partial = [
-            rid
-            for rid in trace.request_ids()
-            if rid not in complete and rid not in dropped
-        ]
-        hits = trace.of_kind(EventType.PREFIX_HIT)
-        xfers = trace.of_kind(EventType.KV_TRANSFER)
-        return StepMetrics(
-            decode_steps=len(steps),
-            admits=len(admits),
-            preempts=len(trace.of_kind(EventType.PREEMPT)),
-            rejects=len(trace.of_kind(EventType.REJECT)),
-            finishes=len(all_finishes),
-            prefill_chunks=len(trace.of_kind(EventType.PREFILL_CHUNK)),
-            partial_requests=len(partial),
-            dropped_events=int(getattr(trace, "dropped_events", 0) or 0),
-            reroutes=len(trace.of_kind(EventType.REROUTE)),
-            fallbacks=len(trace.of_kind(EventType.FALLBACK)),
-            kv_transfers=len(xfers),
-            kv_transfer_bytes=int(
-                sum(e.data.get("bytes", 0) for e in xfers)
-            ),
-            kv_transfer_seconds=float(
-                sum(e.data.get("seconds", 0.0) for e in xfers)
-            ),
-            scale_ups=len(trace.of_kind(EventType.SCALE_UP)),
-            scale_downs=len(trace.of_kind(EventType.SCALE_DOWN)),
-            decode_seconds=wall,
-            mean_batch_occupancy=float((batches * w).sum()) if w is not None else 0.0,
-            peak_batch_occupancy=int(batches.max()) if len(steps) else 0,
-            mean_budget_utilization=float((utils * w).sum()) if w is not None else 0.0,
-            peak_budget_utilization=float(utils.max()) if len(steps) else 0.0,
-            mean_queue_delay=float(np.mean(delays)) if delays else 0.0,
-            mean_tbot=float(np.mean(tbots)) if tbots else 0.0,
-            p99_tbot=float(np.percentile(tbots, 99)) if tbots else 0.0,
-            max_decode_gap=gap,
-            ttft_attainment=(
-                1.0 - sum("ttft_miss" in e.data for e in with_ttft)
-                / len(with_ttft)
-                if with_ttft else 1.0
-            ),
-            tbot_attainment=(
-                1.0 - sum("tbot_miss" in e.data for e in with_tbot)
-                / len(with_tbot)
-                if with_tbot else 1.0
-            ),
-            goodput=attained / span if span > 0 else 0.0,
-            prefix_hits=len(hits),
-            prefix_cached_tokens=int(
-                sum(e.data.get("cached", 0) for e in hits)
-            ),
-            prefix_saved_seconds=float(
-                sum(e.data.get("saved_seconds", 0.0) for e in hits)
-            ),
-            prefix_hit_rate=len(hits) / len(admits) if admits else 0.0,
         )
 
     def as_dict(self) -> Dict[str, float]:

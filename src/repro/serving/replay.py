@@ -132,36 +132,18 @@ def build_instance(cfg: Dict[str, object]):
     """Construct a :class:`ServerInstance` from one instance config."""
     # imported lazily: repro.compression / engines / model pull in the
     # numeric stack, and replay is importable from repro.serving.*
-    from repro.compression import NoCompression, create
-    from repro.engines import ServingCostModel
-    from repro.engines.presets import get_engine
-    from repro.hardware.specs import get_gpu
-    from repro.model.arch import get_arch
+    from repro.engines.deploy import comp_spec, cost_model
     from repro.serving.prefix import PrefixIndex
     from repro.serving.scheduler import make_policy
     from repro.serving.simulator import ServerInstance
 
     cfg = instance_config(**dict(cfg))
-    algo = str(cfg["algo"])
-    comp = (
-        NoCompression() if algo == "fp16" else create(algo)
-    ).cost_spec()
-    interconnect = None
-    tp = int(cfg["tp"])
-    if tp > 1:
-        interconnect = (
-            NVLINK_H800 if str(cfg["gpu"]).lower() == "h800" else NVLINK_A6000
-        )
-    model = ServingCostModel(
-        get_arch(str(cfg["arch"])),
-        get_gpu(str(cfg["gpu"])),
-        get_engine(str(cfg["engine"])),
-        tp=tp,
-        interconnect=interconnect,
-    )
     return ServerInstance(
-        model,
-        comp,
+        cost_model(
+            str(cfg["arch"]), str(cfg["gpu"]), str(cfg["engine"]),
+            int(cfg["tp"]),
+        ),
+        comp_spec(str(cfg["algo"])),
         max_batch=int(cfg["max_batch"]),
         decode_block=int(cfg["decode_block"]),
         scheduler=make_policy(str(cfg["policy"])),
@@ -175,6 +157,10 @@ def build_instance(cfg: Dict[str, object]):
 
 def build_scenario(scenario: Dict[str, object]) -> DisaggFleet:
     """Construct a fresh fleet from a scenario config dict."""
+    # fleet_scenario writes every key a scenario may carry
+    unknown = set(scenario) - set(fleet_scenario(decode=[]))
+    if unknown:
+        raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
     kind = scenario.get("kind", "fleet")
     if kind != "fleet":
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -314,7 +300,7 @@ def extract_workload(trace) -> ReplayWorkload:
     """
     wl = ReplayWorkload(
         assignment=extract_assignment(trace),
-        partial=bool(getattr(trace, "dropped_events", 0)),
+        partial=bool(trace.dropped_events),
     )
     logical: List[str] = []
     seen = set()
@@ -505,7 +491,7 @@ def replay_trace(
     """
     if routing not in ("recorded", "live"):
         raise ValueError("routing must be 'recorded' or 'live'")
-    meta = getattr(trace, "meta", None) or {}
+    meta = trace.meta
     if scenario is None:
         scenario = meta.get("scenario")
     if scenario is None:
@@ -542,7 +528,7 @@ def replay_trace(
         events_recorded=len(trace),
         events_replayed=len(replay_collector),
         wall_seconds=wall,
-        partial=bool(getattr(trace, "dropped_events", 0)),
+        partial=bool(trace.dropped_events),
         unreplayable=unreplayable,
         trace=replay_collector,
     )

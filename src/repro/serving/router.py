@@ -583,19 +583,17 @@ class Router:
     def serve(
         self,
         requests: Sequence[RoutedRequest],
-        online: bool = False,
         trace: Optional[Trace] = None,
         telemetry=None,
     ) -> RouterResult:
-        """Assign and simulate ``requests``; returns merged latencies.
+        """Assign ``requests`` offline, then simulate; returns merged
+        latencies.
 
-        ``online=False`` (default) keeps the seed's offline assignment;
-        ``online=True`` delegates to :meth:`serve_online`.  ``telemetry``
-        (opt-in) is forwarded to the cluster so one sink aggregates the
-        whole fleet.
+        Assignments are made up front from the predictors and a decayed
+        load model (the seed path and Table 8 parity option); online
+        routing is :meth:`serve_online`.  ``telemetry`` (opt-in) is
+        forwarded to the cluster so one sink aggregates the whole fleet.
         """
-        if online:
-            return self.serve_online(requests, trace=trace, telemetry=telemetry)
         if self.fallback:
             raise ValueError(
                 "verify-and-fallback re-enqueues at finish instants; it "

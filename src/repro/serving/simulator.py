@@ -137,6 +137,10 @@ class ServerInstance:
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        if decode_block < 1:
+            # a zero-step block never advances the clock: run() would
+            # re-wake at the same instant forever
+            raise ValueError("decode_block must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 (or None for single-shot)")
         if admission not in ADMISSION_MODES:
@@ -828,34 +832,17 @@ class ServerInstance:
                 ]
             else:
                 used = self._used + self._static_used()
-            fast = (
-                getattr(trace, "record_decode_steps", None)
-                if trace is not None else None
-            )
-            if fast is not None or trace is None:
-                # columnar trace (or no trace at all): the whole burst
-                # lands in one batched call per sink
-                if fast is not None:
-                    fast(
-                        self.name, times, batch, kvs, dts, used,
-                        self.token_budget,
-                    )
-                if tel is not None:
-                    tel.on_decode_steps(
-                        self.name, times, batch, kvs, dts, used,
-                        self.token_budget,
-                    )
-            else:
-                for i in range(executed):
-                    self._record(
-                        times[i], EventType.DECODE_STEP,
-                        batch=batch, kv=kvs[i], seconds=dts[i],
-                        used_tokens=(
-                            used[i] if isinstance(used, list) else used
-                        ),
-                        token_budget=self.token_budget,
-                        live=batch,
-                    )
+            # the whole burst lands in one batched call per sink
+            if trace is not None:
+                trace.record_decode_steps(
+                    self.name, times, batch, kvs, dts, used,
+                    self.token_budget,
+                )
+            if tel is not None:
+                tel.on_decode_steps(
+                    self.name, times, batch, kvs, dts, used,
+                    self.token_budget,
+                )
         if executed == fin:
             for r in [r for r in running if r.done]:
                 running.remove(r)

@@ -29,8 +29,8 @@ Two refinements over the naive per-event loop:
   NumPy columns directly — signature-resolved payload keys, one reused
   dict per line — instead of materializing (and permanently caching)
   a :class:`TraceEvent` per row, which defeated the columnar memory
-  win on export-heavy runs.  Output bytes are identical to the object
-  path (pinned by the equivalence suite).
+  win on export-heavy runs.  Output bytes equal a per-event dump (the
+  reference in ``tests/oracles/``, pinned by the equivalence suite).
 
 The Chrome exporter emits the ``trace_event`` JSON object format
 (``{"traceEvents": [...]}``) so a *simulated* serving run opens in
@@ -58,7 +58,6 @@ from repro.serving.trace import (
     KINDS,
     EventType,
     Trace,
-    TraceEvent,
 )
 
 PathLike = Union[str, pathlib.Path]
@@ -71,22 +70,11 @@ META_KEY = "__trace_meta__"
 META_SCHEMA = 1
 
 
-def event_to_obj(e: TraceEvent) -> dict:
-    """One event as a JSON-ready dict (the JSONL line schema)."""
-    return {
-        "time": e.time,
-        "kind": e.kind.value,
-        "request_id": e.request_id,
-        "instance": e.instance,
-        "data": e.data,
-    }
-
-
-def _header(trace, scenario, workload, meta) -> Optional[dict]:
+def _header(trace: Trace, scenario, workload, meta) -> Optional[dict]:
     """The optional metadata header, or ``None`` when a plain dump
     (complete, unbounded, context-free) should stay header-less."""
-    dropped = int(getattr(trace, "dropped_events", 0) or 0)
-    max_events = getattr(trace, "max_events", None)
+    dropped = trace.dropped_events
+    max_events = trace.max_events
     if not (dropped or max_events is not None or scenario is not None
             or workload is not None or meta):
         return None
@@ -108,8 +96,9 @@ def _header(trace, scenario, workload, meta) -> Optional[dict]:
 def _iter_jsonl(trace: Trace) -> Iterator[str]:
     """One JSON line per event, streamed straight off the columns.
 
-    Byte-for-byte what ``json.dumps(event_to_obj(e))`` produces, but
-    without building (and caching) a :class:`TraceEvent` per row: the
+    Each line is the JSON object ``{"time", "kind", "request_id",
+    "instance", "data"}`` of one event, built without materializing
+    (and caching) a :class:`TraceEvent` per row: the
     columns are unboxed to plain Python lists once, payload keys come
     from the interned signatures, and each line reuses one dict.
     """
@@ -154,7 +143,7 @@ def _iter_jsonl(trace: Trace) -> Iterator[str]:
 
 
 def dump_jsonl(
-    trace,
+    trace: Trace,
     path: PathLike,
     scenario: Optional[dict] = None,
     workload: Optional[List[dict]] = None,
@@ -166,16 +155,11 @@ def dump_jsonl(
     line (see the module docstring) together with the trace's
     ring-buffer truncation state; a complete unbounded trace dumped
     without context stays header-less, bytes identical to the legacy
-    format.  Columnar traces stream straight from the columns; anything
-    else (e.g. :class:`~repro.serving.trace.ObjectTrace`) takes the
-    per-event path.
+    format.  Lines stream straight from the trace's columns.
     """
     path = pathlib.Path(path)
     head = _header(trace, scenario, workload, meta)
-    if isinstance(trace, Trace):
-        lines: Iterator[str] = _iter_jsonl(trace)
-    else:
-        lines = (json.dumps(event_to_obj(e)) for e in trace.events)
+    lines: Iterator[str] = _iter_jsonl(trace)
     count = 0
     with path.open("w") as fp:
         if head is not None:
@@ -233,14 +217,9 @@ def load_jsonl(path: PathLike) -> Trace:
                 time = float(obj["time"])
             except (ValueError, KeyError, TypeError):
                 continue  # truncated / corrupt line
-            trace.append(
-                TraceEvent(
-                    time=time,
-                    kind=kind,
-                    request_id=str(obj.get("request_id", "")),
-                    instance=str(obj.get("instance", "")),
-                    data=dict(obj.get("data", {})),
-                )
+            trace.record_fields(
+                time, kind, str(obj.get("request_id", "")),
+                str(obj.get("instance", "")), dict(obj.get("data", {})),
             )
     return trace
 

@@ -1,17 +1,24 @@
 """Columnar-vs-object equivalence property suite.
 
 The columnar :class:`Trace` (struct-of-arrays ring buffer) must be an
-*observationally exact* drop-in for :class:`ObjectTrace` (the original
-event-list implementation): identical events, renders, folds and
-exports — bit for bit, not approximately.  Each scenario here runs the
-same seeded workload twice, once per trace implementation, and asserts
-byte/float identity across every consumer surface:
+*observationally exact* drop-in for the object-per-event reference
+collector in ``tests/oracles/`` (:class:`~tests.oracles.ObjectTrace`):
+identical events, renders, folds and exports — bit for bit, not
+approximately.  Each scenario here runs the same seeded workload twice,
+once per trace implementation, and asserts byte/float identity across
+every consumer surface:
 
 - ``events`` (values AND Python types of every payload entry)
 - ``render_timeline`` output
-- ``StepMetrics.from_trace`` (columnar fold vs legacy event fold)
+- ``StepMetrics.from_trace`` (columnar fold vs the per-event oracle)
 - ``request_latencies`` / ``queue_delays``
 - JSONL export bytes
+
+Single-instance scenarios cover the scheduler, admission, chunking,
+prefix and telemetry paths; the fleet scenarios cover what only fleets
+record: ``KV_TRANSFER`` / ``SCALE_*`` events and ``#pf`` stage ids
+(``disagg``), ``REROUTE`` gate denials (``router-gate``) and
+``FALLBACK`` events with ``#fb`` re-decodes (``router-fallback``).
 
 Scheduler policies also get a vector-vs-scalar parity check: the NumPy
 paths must make exactly the decisions of the tuple-``min`` paths.
@@ -23,13 +30,18 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.compression import NoCompression
+from repro.compression import NoCompression, create
 from repro.engines import LMDEPLOY, ServingCostModel
 from repro.hardware import A6000
 from repro.model.arch import LLAMA_7B
 from repro.serving import (
-    ObjectTrace,
+    Autoscaler,
+    DisaggFleet,
+    EventType,
     PrefixIndex,
+    RoutedRequest,
+    Router,
+    RoutingPolicy,
     ServerInstance,
     ServingRequest,
     StepMetrics,
@@ -40,13 +52,14 @@ from repro.serving import (
     queue_delays,
     request_latencies,
 )
+from tests import oracles
 
 FP16 = NoCompression().cost_spec()
 
 
-def instance(**kw):
+def instance(comp=None, **kw):
     cm = ServingCostModel(LLAMA_7B, A6000, LMDEPLOY)
-    return ServerInstance(cm, FP16, **kw)
+    return ServerInstance(cm, comp or FP16, **kw)
 
 
 def workload(seed, n=40, slo=False, tokens=False):
@@ -79,6 +92,53 @@ def workload(seed, n=40, slo=False, tokens=False):
     return reqs
 
 
+def run_disagg(seed, trace):
+    """An autoscaled disaggregated fleet under a storm-then-trickle
+    load: stage handoffs, scale-ups in the storm, drains after it."""
+    reqs = workload(seed, slo=True)
+    for i, r in enumerate(reqs):
+        # the first half lands as a storm, the rest trickles in
+        r.arrival = 0.02 * i if i < 20 else 0.4 + 1.5 * (i - 19)
+        r.response_len = max(2, r.response_len)
+    fleet = DisaggFleet(
+        [instance(max_batch=4) for _ in range(2)],
+        [instance(max_batch=4) for _ in range(3)],
+        prefill_active=1,
+        decode_active=1,
+        autoscaler=Autoscaler(tick=0.25, queue_high=2.0),
+    )
+    return fleet.serve(reqs, trace=trace).requests
+
+
+ROUTER_ALGOS = ("fp16", "kivi-4", "stream-512")
+
+
+def run_router(seed, trace, fallback):
+    """The compression-aware router over a mixed fleet, every third
+    request risky: gate denials (``REROUTE``) with the fallback off,
+    verify-and-fallback re-decodes (``FALLBACK``, ``#fb``) with it on."""
+    rng = np.random.default_rng(seed)
+    t = 0.0
+    routed = []
+    for i in range(30):
+        t += float(rng.exponential(0.15))
+        resp = int(rng.integers(8, 96))
+        routed.append(
+            RoutedRequest(
+                f"r{i}", t, int(rng.integers(64, 512)), resp,
+                {a: resp for a in ROUTER_ALGOS},
+                risk=0.9 if i % 3 == 0 else 0.0,
+            )
+        )
+    router = Router(
+        [instance(create(a).cost_spec(), max_batch=8) for a in ROUTER_ALGOS],
+        list(ROUTER_ALGOS),
+        RoutingPolicy.COMPRESSION,
+        fallback=fallback,
+    )
+    return router.serve_online(routed, trace=trace).all_requests()
+
+
 SCENARIOS = {
     "core": dict(kw=dict(max_batch=8)),
     "dynamic": dict(kw=dict(admission="dynamic", max_batch=16)),
@@ -88,23 +148,43 @@ SCENARIOS = {
     "shortest": dict(kw=dict(scheduler=make_policy("shortest"), max_batch=8)),
     "prefix": dict(kw=dict(max_batch=8), tokens=True, prefix=True),
     "telemetry": dict(kw=dict(max_batch=8), telemetry=True),
+    "disagg": dict(
+        run=run_disagg,
+        covers=(EventType.KV_TRANSFER, EventType.SCALE_UP,
+                EventType.SCALE_DOWN),
+        ids="#pf",
+    ),
+    "router-gate": dict(
+        run=lambda seed, trace: run_router(seed, trace, fallback=False),
+        covers=(EventType.REROUTE,),
+    ),
+    "router-fallback": dict(
+        run=lambda seed, trace: run_router(seed, trace, fallback=True),
+        covers=(EventType.FALLBACK,),
+        ids="#fb",
+    ),
 }
 
 
 def run_pair(name, seed):
     spec = SCENARIOS[name]
+    if "run" in spec:
+        return [
+            (trace, spec["run"](seed, trace))
+            for trace in (Trace(), oracles.ObjectTrace())
+        ]
     reqs = workload(
         seed, slo=spec.get("slo", False), tokens=spec.get("tokens", False)
     )
     results = []
-    for trace in (Trace(), ObjectTrace()):
+    for trace in (Trace(), oracles.ObjectTrace()):
         kw = dict(spec["kw"])
         if spec.get("prefix"):
             kw["prefix_cache"] = PrefixIndex(block_size=16)
         tel = Telemetry() if spec.get("telemetry") else None
         inst = instance(**kw)
         res = inst.run(copy.deepcopy(reqs), trace=trace, telemetry=tel)
-        results.append((trace, res))
+        results.append((trace, res.requests))
     return results
 
 
@@ -114,8 +194,15 @@ def run_pair(name, seed):
     ids=lambda v: str(v),
 )
 def test_columnar_matches_object(name, seed, tmp_path):
-    (col, col_res), (obj, obj_res) = run_pair(name, seed)
+    (col, col_reqs), (obj, obj_reqs) = run_pair(name, seed)
     assert len(col) == len(obj) > 0
+
+    # the scenario exercises the event kinds and stage ids it is for
+    spec = SCENARIOS[name]
+    for kind in spec.get("covers", ()):
+        assert obj.of_kind(kind), (name, kind)
+    if "ids" in spec:
+        assert any(spec["ids"] in rid for rid in obj.request_ids())
 
     # events: identical values AND identical Python types per payload
     for ce, oe in zip(col.events, obj.events):
@@ -127,18 +214,18 @@ def test_columnar_matches_object(name, seed, tmp_path):
     assert col.render_timeline() == obj.render_timeline()
     assert col.render_timeline(limit=7) == obj.render_timeline(limit=7)
 
-    # folds: vectorized columnar fold == legacy event fold, exactly
-    assert StepMetrics.from_trace(col) == StepMetrics.from_trace(obj)
-    assert request_latencies(col) == request_latencies(obj)
-    assert queue_delays(col) == queue_delays(obj)
+    # folds: vectorized columnar fold == per-event oracle fold, exactly
+    assert StepMetrics.from_trace(col) == oracles.step_metrics(obj)
+    assert request_latencies(col) == oracles.request_latencies(obj)
+    assert queue_delays(col) == oracles.queue_delays(obj)
 
     # the simulated requests themselves are unaffected by the trace impl
-    assert col_res.requests == obj_res.requests
+    assert col_reqs == obj_reqs
 
     # JSONL export bytes are identical
     pc, po = tmp_path / "col.jsonl", tmp_path / "obj.jsonl"
     dump_jsonl(col, pc)
-    dump_jsonl(obj, po)
+    oracles.dump_jsonl(obj, po)
     assert pc.read_bytes() == po.read_bytes()
 
 

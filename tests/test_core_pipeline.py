@@ -14,6 +14,27 @@ class TestPipeline:
         assert p.algorithm == "fp16"
         assert p.arch.name == "llama-7b"
 
+    def test_tp_cost_model_is_the_shared_deployment_one(self):
+        # regression: an H800 tensor-parallel group priced its
+        # all-reduce over the A6000 NVLink (3.888 ms vs 3.616 ms for a
+        # batch-8, 2k-token decode step)
+        from repro.engines.deploy import comp_spec, cost_model
+        from repro.hardware import NVLINK_H800, PCIE_GEN4
+
+        p = CompressedGenerationPipeline("fp16", gpu="h800", tp=4)
+        shared = cost_model("llama-7b", "h800", "lmdeploy", 4)
+        assert p.cost_model.interconnect is shared.interconnect is NVLINK_H800
+        spec = comp_spec("fp16")
+        assert (
+            p.cost_model.decode_step(8, 2048, spec).seconds
+            == shared.decode_step(8, 2048, spec).seconds
+        )
+        # an explicit link still overrides the deployment default
+        pcie = CompressedGenerationPipeline(
+            "fp16", gpu="h800", tp=4, interconnect=PCIE_GEN4
+        )
+        assert pcie.cost_model.interconnect is PCIE_GEN4
+
     def test_unknown_model_flavour(self):
         with pytest.raises(KeyError):
             CompressedGenerationPipeline(model="gpt-sim")

@@ -160,6 +160,23 @@ def test_scenario_config_matches_build_fleet(tmp_path):
     assert not mono.prefill and len(mono.decode) == 4
 
 
+@pytest.mark.parametrize("block", [0, -3])
+def test_build_scenario_rejects_nonpositive_decode_block(block):
+    scenario = fleet_scenario(decode=[instance_config(decode_block=block)])
+    with pytest.raises(ValueError, match="decode_block"):
+        build_scenario(scenario)
+
+
+def test_build_scenario_rejects_unknown_keys():
+    # a misspelt key must not be ignored: here it would leave both
+    # decode instances active instead of one
+    scenario = dict(
+        serving_disagg.scenario_config("static-2"), decode_actve=1
+    )
+    with pytest.raises(ValueError, match="decode_actve"):
+        build_scenario(scenario)
+
+
 def test_logical_id_strips_stage_suffixes():
     assert logical_id("r07#pf") == "r07"
     assert logical_id("r07#fb") == "r07"

@@ -352,6 +352,13 @@ class TestPreemption:
         with pytest.raises(ValueError):
             instance(admission="magic")
 
+    @pytest.mark.parametrize("block", [0, -3])
+    def test_invalid_decode_block(self, block):
+        # a block of no decode steps never advances the clock, so run()
+        # would re-wake at the same instant forever
+        with pytest.raises(ValueError, match="decode_block"):
+            instance(decode_block=block)
+
 
 class TestCluster:
     def test_shared_clock_matches_independent_runs(self):
@@ -419,12 +426,14 @@ class TestOnlineRouting:
         assert len(set(res.assignment.values())) >= 3
         assert len(res.all_e2e()) == 16
 
-    def test_serve_online_flag(self):
+    def test_serve_is_offline_only(self):
+        # online routing has one entry point, serve_online
         router = Router(
             [instance(), instance()], ["fp16"] * 2, RoutingPolicy.LOAD_BALANCE
         )
-        res = router.serve(self._routed(), online=True)
-        assert res.mode == "online"
+        assert router.serve(self._routed()).mode == "offline"
+        with pytest.raises(TypeError):
+            router.serve(self._routed(), online=True)
 
     def test_online_comparable_to_offline(self):
         reqs = self._routed()

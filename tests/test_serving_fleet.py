@@ -17,7 +17,6 @@ from repro.serving import (
     DisaggFleet,
     EventLoop,
     EventType,
-    ObjectTrace,
     ServerInstance,
     ServingRequest,
     StepMetrics,
@@ -25,6 +24,7 @@ from repro.serving import (
     Trace,
     least_loaded,
 )
+from tests import oracles
 
 FP16 = NoCompression().cost_spec()
 
@@ -80,8 +80,9 @@ class TestKVTransfer:
             )
             assert ev.data["link"] == "nvlink-a6000"
             assert ev.instance == "dec0"  # recorded at the receiver
-        assert res.kv_transfers == 3
-        assert res.kv_transfer_bytes == 3 * 300 * per_token
+        folded = StepMetrics.from_trace(res.trace)
+        assert folded.kv_transfers == 3
+        assert folded.kv_transfer_bytes == 3 * 300 * per_token
 
     def test_compressed_kv_ships_fewer_bytes(self):
         from repro.compression import create
@@ -112,7 +113,7 @@ class TestKVTransfer:
         assert s_pci > s_nv  # PCIe link is slower, so the handoff costs more
 
     def test_fold_parity_columnar_vs_object(self):
-        cols, objs = Trace(), ObjectTrace()
+        cols, objs = Trace(), oracles.ObjectTrace()
         DisaggFleet(instances(1), instances(2)).serve(
             requests(6, prompt=280, resp=24), trace=cols
         )
@@ -120,7 +121,7 @@ class TestKVTransfer:
             requests(6, prompt=280, resp=24), trace=objs
         )
         mc = StepMetrics.from_trace(cols)
-        mo = StepMetrics.from_trace(objs)
+        mo = oracles.step_metrics(objs)
         assert mc.kv_transfers == mo.kv_transfers == 6
         assert mc.kv_transfer_bytes == mo.kv_transfer_bytes
         assert mc.kv_transfer_seconds == mo.kv_transfer_seconds
@@ -129,13 +130,14 @@ class TestKVTransfer:
     def test_telemetry_counters_match_trace(self):
         tel = Telemetry()
         trace = Trace()
-        res = DisaggFleet(instances(1), instances(1)).serve(
+        DisaggFleet(instances(1), instances(1)).serve(
             requests(4), trace=trace, telemetry=tel
         )
-        assert tel.kv_transfers.total() == res.kv_transfers == 4
-        assert tel.kv_transfer_bytes.total() == res.kv_transfer_bytes
+        folded = StepMetrics.from_trace(trace)
+        assert tel.kv_transfers.total() == folded.kv_transfers == 4
+        assert tel.kv_transfer_bytes.total() == folded.kv_transfer_bytes
         assert tel.kv_transfer_seconds.total() == pytest.approx(
-            res.kv_transfer_seconds
+            folded.kv_transfer_seconds
         )
 
 
@@ -225,22 +227,20 @@ class TestAutoscaler:
             autoscaler=Autoscaler(tick=0.25, queue_high=2.0),
         )
         res = fleet.serve(burst_requests(), trace=trace)
-        assert res.scale_ups >= 1
-        assert res.scale_downs >= 1
         ups = trace.of_kind(EventType.SCALE_UP)
         downs = trace.of_kind(EventType.SCALE_DOWN)
-        assert len(ups) == res.scale_ups
-        assert len(downs) == res.scale_downs
+        assert len(ups) >= 1
+        assert len(downs) >= 1
         for ev in ups + downs:
             assert ev.data["pool"] in ("prefill", "decode")
             assert ev.data["size"] >= 1
         # scale events land in the metrics fold and the registry
         m = StepMetrics.from_trace(trace)
-        assert m.scale_ups == res.scale_ups
-        assert m.scale_downs == res.scale_downs
+        assert m.scale_ups == len(ups)
+        assert m.scale_downs == len(downs)
         tel = res.telemetry
         assert tel is not None  # created internally for the controller
-        assert tel.scale_events.total() == res.scale_ups + res.scale_downs
+        assert tel.scale_events.total() == len(ups) + len(downs)
         for pool in ("prefill", "decode"):
             assert tel.pool_size.value(pool=pool) >= 1.0
 

@@ -16,7 +16,6 @@ from repro.serving import (
     EventLoop,
     EventType,
     NullTelemetry,
-    ObjectTrace,
     PrefixIndex,
     ServerInstance,
     ServingRequest,
@@ -39,6 +38,7 @@ from repro.serving.telemetry import (
     sparkline,
 )
 from repro.serving.telemetry.core import active
+from tests.oracles import ObjectTrace
 
 FP16 = NoCompression().cost_spec()
 

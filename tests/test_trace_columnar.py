@@ -6,7 +6,8 @@ contract (``limit=0``, negative limits, empty traces)."""
 import numpy as np
 import pytest
 
-from repro.serving import EventType, ObjectTrace, Trace, TraceEvent
+from repro.serving import EventType, Trace, TraceEvent
+from tests.oracles import ObjectTrace
 
 
 def fill(trace, n, kind=EventType.DECODE_STEP):

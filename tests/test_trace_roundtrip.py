@@ -5,7 +5,8 @@ event kinds (``KV_TRANSFER``, ``SCALE_UP``/``SCALE_DOWN``) and the
 staged/synthetic request ids (``#pf`` prefill stages, ``#fb`` fallback
 re-decodes) must survive ``dump_jsonl`` → ``load_jsonl`` exactly —
 payload values AND types — and must fold identically through both
-``StepMetrics`` paths (columnar and legacy event walk).  The metadata
+``StepMetrics`` folds (columnar, and the per-event oracle in
+``tests/oracles/``).  The metadata
 header line added for ring-buffer truncation must round-trip drop
 counts and scenario/workload context without perturbing the legacy
 headerless byte format of unbounded exports.
@@ -17,7 +18,6 @@ import pytest
 
 from repro.serving import (
     EventType,
-    ObjectTrace,
     StepMetrics,
     Trace,
     build_spans,
@@ -25,6 +25,7 @@ from repro.serving import (
     load_jsonl,
 )
 from repro.serving.telemetry.export import META_KEY
+from tests import oracles
 
 
 def fleet_trace(cls=Trace, **kw):
@@ -83,9 +84,9 @@ def test_staged_ids_and_folds_survive_roundtrip(tmp_path):
     assert {"r0#pf", "r1#fb"} <= set(loaded.request_ids())
     folded = StepMetrics.from_trace(loaded)
     assert folded == StepMetrics.from_trace(trace)
-    # and the legacy event-walk fold agrees with the columnar one
-    obj = fleet_trace(cls=ObjectTrace)
-    assert StepMetrics.from_trace(obj) == folded
+    # and the per-event oracle fold agrees with the columnar one
+    obj = fleet_trace(cls=oracles.ObjectTrace)
+    assert oracles.step_metrics(obj) == folded
     assert folded.kv_transfers == 1
     assert folded.kv_transfer_bytes == 2.5e6
     assert folded.scale_ups == 1 and folded.scale_downs == 1
@@ -111,7 +112,7 @@ def test_unbounded_dump_has_no_header(tmp_path):
 def test_columnar_and_object_dumps_byte_identical(tmp_path):
     a, b = tmp_path / "col.jsonl", tmp_path / "obj.jsonl"
     dump_jsonl(fleet_trace(), a)
-    dump_jsonl(fleet_trace(cls=ObjectTrace), b)
+    oracles.dump_jsonl(fleet_trace(cls=oracles.ObjectTrace), b)
     assert a.read_bytes() == b.read_bytes()
 
 
